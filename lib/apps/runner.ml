@@ -18,7 +18,7 @@ module Md = Hpcfs_md.Service
 
 type result = {
   records : Hpcfs_trace.Record.t list;
-  events : Mpi.event list;
+  events : Mpi.event list Lazy.t;
   stats : Pfs.stats;
   md : Md.stats;
   pfs : Pfs.t;
@@ -106,7 +106,7 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
       | None -> base_backend
       | Some j -> Journal.wrap j base_backend)
   in
-  let events = ref [] in
+  let attempt_events = ref [] in
   let crashes = ref [] in
   let restarts = ref 0 in
   let target_records = ref [] in
@@ -213,7 +213,7 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
         `Crashed (rank, time, io_index)
       | Target.Mds_down { time } -> `Mds_down time
     in
-    events := !events @ Mpi.events comm;
+    attempt_events := Mpi.events comm :: !attempt_events;
     match status with
     | `Done -> ()
     | `Crashed (rank, time, io_index) ->
@@ -322,7 +322,7 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
   in
   {
     records = Collector.records collector;
-    events = !events;
+    events = lazy (List.concat_map Lazy.force (List.rev !attempt_events));
     stats = Pfs.stats pfs;
     md = Md.stats mds;
     pfs;

@@ -4,8 +4,9 @@
 
 type result = {
   records : Hpcfs_trace.Record.t list;  (** The trace, in time order. *)
-  events : Hpcfs_mpi.Mpi.event list;
-      (** Communication log (all attempts concatenated, under faults). *)
+  events : Hpcfs_mpi.Mpi.event list Lazy.t;
+      (** Communication log (all attempts concatenated, under faults),
+          sorted by time when first forced. *)
   stats : Hpcfs_fs.Pfs.stats;
   md : Hpcfs_md.Service.stats;
       (** Metadata-path statistics: per-shard load, cache hit/staleness

@@ -74,6 +74,8 @@ val allreduce : comm -> reduce_op -> int -> int
 val scatter : comm -> root:int -> payload array option -> payload
 (** Root supplies [Some values] (one per rank); every rank returns its own. *)
 
-val events : comm -> event list
-(** All recorded events, in increasing logical-time order.  Only meaningful
-    after [Sched.run] returns. *)
+val events : comm -> event list Lazy.t
+(** The events recorded so far, in increasing logical-time order.  The
+    log is captured when [events] is called and sorted only when forced,
+    so a run that never reads it never pays for the sort.  Call it after
+    [Sched.run] returns. *)

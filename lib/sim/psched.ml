@@ -99,36 +99,38 @@ let install_alt st =
              if r >= 0 then st.last.(r) else st.base);
        })
 
+(* The deep handler a rank's fiber runs under, installed once when the
+   rank starts (see [Sched.step]). *)
+let handler st r =
+  {
+    retc = (fun () -> st.procs.(r) <- PDone);
+    exnc = (fun e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Sched.Yield ->
+          Some
+            (fun (k : (a, unit) Effect.Deep.continuation) ->
+              st.procs.(r) <- PRunnable k)
+        | Sched.Wait pred ->
+          Some
+            (fun (k : (a, unit) Effect.Deep.continuation) ->
+              st.procs.(r) <- PWaiting (pred, k))
+        | _ -> None);
+  }
+
 (* One slice of rank [r]: run until it suspends or finishes.  Exceptions
    (a fault injector killing the rank, an app bug) park the rank as
    [PDone] and are re-raised from the boundary, lowest rank first, after
    the whole superstep completes — so the surviving state is independent
    of domain count. *)
 let run_slice st sh r ~debug =
-  let handler =
-    {
-      retc = (fun () -> st.procs.(r) <- PDone);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sched.Yield ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                st.procs.(r) <- PRunnable k)
-          | Sched.Wait pred ->
-            Some
-              (fun (k : (a, unit) Effect.Deep.continuation) ->
-                st.procs.(r) <- PWaiting (pred, k))
-          | _ -> None);
-    }
-  in
   Domain.DLS.set cur_rank r;
   sh.sh_steps <- sh.sh_steps + 1;
   Obs.incr "sim.steps";
   (try
      match st.procs.(r) with
-     | PFresh body -> match_with body () handler
+     | PFresh body -> match_with body () (handler st r)
      | PRunnable k -> continue k ()
      | PWaiting (pred, k) ->
        (* The boundary saw the predicate true; under HPCFS_SCHED_DEBUG,

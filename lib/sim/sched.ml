@@ -92,25 +92,26 @@ let nonmonotone_failure who r =
    The deep handler is installed once, when the fiber first starts; every
    subsequent suspension is caught by that same handler (deep semantics),
    which stores the continuation and lets control return to the scheduler at
-   the point of the [continue] that resumed the fiber. *)
+   the point of the [continue] that resumed the fiber.  So the handler is
+   built only for a [Fresh] process: resuming one, or polling a blocked
+   one, allocates nothing here. *)
+let handler s r =
+  {
+    retc = (fun () -> s.procs.(r) <- Finished);
+    exnc = (fun e -> raise e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Yield ->
+          Some (fun (k : (a, unit) continuation) -> s.procs.(r) <- Runnable k)
+        | Wait pred ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              s.procs.(r) <- Waiting (pred, k))
+        | _ -> None);
+  }
+
 let step s r =
-  let handler =
-    {
-      retc = (fun () -> s.procs.(r) <- Finished);
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-            Some
-              (fun (k : (a, unit) continuation) -> s.procs.(r) <- Runnable k)
-          | Wait pred ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                s.procs.(r) <- Waiting (pred, k))
-          | _ -> None);
-    }
-  in
   s.current <- r;
   (* Fault hooks fire before the process runs, so a kill lands even while
      the victim is blocked (e.g. inside a barrier). *)
@@ -120,7 +121,7 @@ let step s r =
   match s.procs.(r) with
   | Fresh body ->
     Obs.incr "sim.steps";
-    match_with body () handler
+    match_with body () (handler s r)
   | Runnable k ->
     Obs.incr "sim.steps";
     continue k ()

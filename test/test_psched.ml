@@ -32,9 +32,14 @@ let test_all_ranks_run () =
 
 let test_self_and_nprocs () =
   for_domains (fun d ->
+      let seen = Array.make 6 (-1, -1) in
       Psched.run ~domains:d ~nprocs:6 (fun r ->
-          Alcotest.(check int) "self" r (Sched.self ());
-          Alcotest.(check int) "nprocs" 6 (Sched.nprocs ())))
+          seen.(r) <- (Sched.self (), Sched.nprocs ()));
+      Array.iteri
+        (fun r (self, n) ->
+          Alcotest.(check int) "self" r self;
+          Alcotest.(check int) "nprocs" 6 n)
+        seen)
 
 (* The clock merge: tick streams are globally unique and — the tentpole
    property — identical for every domain count. *)
@@ -106,19 +111,27 @@ let test_shard_bounds () =
 
 (* MPI over the parallel scheduler --------------------------------------- *)
 
+(* Rank bodies run concurrently on several domains, and Alcotest's shared
+   formatter is not domain-safe: concurrent checks corrupt its queue and
+   raise [Queue.Empty].  So where several ranks have something to check,
+   each only records what it observed, in its own slot, and the
+   assertions run after [Psched.run] returns. *)
+
 let test_barrier () =
   for_domains (fun d ->
       let comm = Mpi.world () in
       Mpi.prepare comm ~nprocs:8;
       let phase = Array.make 8 0 in
+      let seen = Array.make 8 [||] in
       Psched.run ~domains:d ~nprocs:8 (fun r ->
           phase.(r) <- 1;
           Mpi.barrier comm;
-          Array.iter
-            (fun p -> Alcotest.(check int) "phase complete" 1 p)
-            phase;
+          seen.(r) <- Array.copy phase;
           Mpi.barrier comm;
           phase.(r) <- 2);
+      Array.iter
+        (Array.iter (fun p -> Alcotest.(check int) "phase complete" 1 p))
+        seen;
       Alcotest.(check bool) "all finished" true
         (Array.for_all (fun p -> p = 2) phase))
 
@@ -142,16 +155,18 @@ let test_collectives () =
   for_domains (fun d ->
       let comm = Mpi.world () in
       Mpi.prepare comm ~nprocs:4;
+      let sums = Array.make 4 0 in
+      let gathered = Array.make 4 [||] in
       Psched.run ~domains:d ~nprocs:4 (fun r ->
-          let s = Mpi.allreduce comm Mpi.Sum (r + 1) in
-          Alcotest.(check int) "allreduce sum" 10 s;
-          let values = Mpi.allgather comm (Mpi.P_int (100 + r)) in
-          Array.iteri
-            (fun i p ->
-              match p with
-              | Mpi.P_int v -> Alcotest.(check int) "allgathered" (100 + i) v
-              | _ -> Alcotest.fail "wrong payload")
-            values))
+          sums.(r) <- Mpi.allreduce comm Mpi.Sum (r + 1);
+          gathered.(r) <- Mpi.allgather comm (Mpi.P_int (100 + r)));
+      Array.iter (fun s -> Alcotest.(check int) "allreduce sum" 10 s) sums;
+      Array.iter
+        (Array.iteri (fun i p ->
+             match p with
+             | Mpi.P_int v -> Alcotest.(check int) "allgathered" (100 + i) v
+             | _ -> Alcotest.fail "wrong payload"))
+        gathered)
 
 (* The MPI event log merges identically across domain counts. *)
 let test_event_log_deterministic () =
@@ -162,7 +177,7 @@ let test_event_log_deterministic () =
         Mpi.barrier comm;
         ignore (Mpi.allreduce comm Mpi.Max r);
         Mpi.barrier comm);
-    Mpi.events comm
+    Lazy.force (Mpi.events comm)
   in
   let base = capture 1 in
   Alcotest.(check bool) "events non-empty" true (base <> []);
@@ -248,7 +263,7 @@ let run_app ?faults ?semantics ~domains body =
   let result = Runner.run ?faults ?semantics ~nprocs:8 ~domains body in
   let report = Report.analyze ~nprocs:8 result.Runner.records in
   ( result.Runner.records,
-    result.Runner.events,
+    Lazy.force result.Runner.events,
     Format.asprintf "%a" Report.pp_summary report )
 
 let test_app_trace_identical () =

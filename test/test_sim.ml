@@ -166,7 +166,7 @@ let test_events_recorded () =
       if r = 0 then Mpi.send comm ~dst:1 ~tag:3 Mpi.P_unit
       else ignore (Mpi.recv comm ~src:0 ~tag:3);
       Mpi.barrier comm);
-  let events = Mpi.events comm in
+  let events = Lazy.force (Mpi.events comm) in
   let sends =
     List.filter (function Mpi.E_send _ -> true | _ -> false) events
   in
@@ -198,7 +198,7 @@ let test_send_happens_before_recv_many_ranks () =
     (fun e ->
       match e with
       | Mpi.E_recv _ | Mpi.E_send _ | Mpi.E_barrier _ | Mpi.E_coll _ -> ())
-    (Mpi.events comm)
+    (Lazy.force (Mpi.events comm))
 
 let suite =
   [
