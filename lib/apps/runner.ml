@@ -61,6 +61,19 @@ let prepare_parallel ~domains ~nprocs ~comm ~posix ~mpiio ~inj =
     Option.iter (fun i -> Injector.prepare i ~nprocs) inj
   end
 
+(* End of job, crash or not: surviving nodes' buffers are nonvolatile,
+   so whatever a tier still holds reaches the PFS, as a real burst
+   buffer's epilogue stage-out would ensure. *)
+let epilogue_drain tier wal =
+  Option.iter
+    (fun t ->
+      Obs.span Obs.T_bb "epilogue-drain" (fun () -> ignore (Tier.drain_all t ())))
+    tier;
+  Option.iter
+    (fun w ->
+      Obs.span Obs.T_wal "epilogue-drain" (fun () -> ignore (Wal.drain_all w)))
+    wal
+
 let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
     ~wal ~plan ~mds_shards body =
   let inj = Injector.create plan in
@@ -299,17 +312,7 @@ let run_faulted ~domains ~semantics ~local_order ~nprocs ~seed ~cb_nodes ~tier
   let epilogue_time = 1 lsl 40 in
   if Injector.has_target_events inj then
     Injector.advance_targets inj ~time:epilogue_time;
-  (* Surviving nodes' buffers are nonvolatile: the burst-buffer service
-     stages out whatever is still buffered, crash or not. *)
-  Option.iter
-    (fun t ->
-      Obs.span Obs.T_bb "epilogue-drain" (fun () ->
-          ignore (Tier.drain_all t ())))
-    tier;
-  Option.iter
-    (fun w ->
-      Obs.span Obs.T_bb "epilogue-drain" (fun () -> ignore (Wal.drain_all w)))
-    wal;
+  epilogue_drain tier wal;
   let recovery =
     Option.map
       (fun j ->
@@ -404,18 +407,7 @@ let run ?obs ?(semantics = Hpcfs_fs.Consistency.Strong) ?(local_order = true)
               Mpi.barrier comm;
               body env;
               Mpi.barrier comm));
-      (* End of job: whatever is still buffered reaches the PFS, as a real
-         burst buffer's epilogue stage-out would ensure. *)
-      Option.iter
-        (fun t ->
-          Obs.span Obs.T_bb "epilogue-drain" (fun () ->
-              ignore (Tier.drain_all t ())))
-        tier;
-      Option.iter
-        (fun w ->
-          Obs.span Obs.T_bb "epilogue-drain" (fun () ->
-              ignore (Wal.drain_all w)))
-        wal;
+      epilogue_drain tier wal;
       {
         records = Collector.records collector;
         events = Mpi.events comm;

@@ -27,14 +27,13 @@ let of_string s =
 
 let pp ppf t = Format.pp_print_string ppf (describe t)
 
-(* The retry policy for transient drain failures is the simulator-wide
-   capped-backoff helper (Hpcfs_util.Backoff), re-exported here so tier
-   code and its callers keep their historical names. *)
+(* Drain retries use the simulator-wide capped backoff, re-exported here
+   under the tier's historical names. *)
 type retry = Hpcfs_util.Backoff.policy = {
-  max_retries : int;  (* failed attempts before the extent is left staged *)
-  base_delay : int;  (* backoff of the first retry, in ticks *)
-  max_delay : int;  (* per-retry backoff cap *)
-  jitter : float;  (* extra random fraction of the backoff, [0, jitter) *)
+  max_retries : int;
+  base_delay : int;
+  max_delay : int;
+  jitter : float;
 }
 
 let default_retry = Hpcfs_util.Backoff.default

@@ -46,22 +46,16 @@ val pp : Format.formatter -> t -> unit
 
 type retry = Hpcfs_util.Backoff.policy = {
   max_retries : int;
-      (** Failed attempts tolerated before the extent is left staged for a
-          later drain pass. *)
-  base_delay : int;  (** Backoff of the first retry, in logical ticks. *)
-  max_delay : int;  (** Per-retry backoff cap, in logical ticks. *)
+  base_delay : int;
+  max_delay : int;
   jitter : float;
-      (** Random extra fraction of the backoff, drawn uniformly from
-          [\[0, jitter)] — the decorrelation that keeps a fleet of nodes
-          from retrying in lockstep. *)
 }
 (** Retry policy for transient drain failures (a flaky PFS connection, an
-    overloaded OST).  Backoff of attempt [n] is
-    [min max_delay (base_delay * 2^n)] plus jitter. *)
+    overloaded OST): {!Hpcfs_util.Backoff.policy}.  After [max_retries]
+    failures the extent stays staged for a later drain pass. *)
 
 val default_retry : retry
-(** 4 retries, 8-tick base, 256-tick cap, 50% jitter. *)
+(** {!Hpcfs_util.Backoff.default}. *)
 
 val backoff_delay : retry -> Hpcfs_util.Prng.t -> attempt:int -> int
-(** [backoff_delay retry prng ~attempt] is the deterministic (per PRNG
-    state) backoff before retry number [attempt] (0-based). *)
+(** {!Hpcfs_util.Backoff.delay}. *)

@@ -1,27 +1,14 @@
-(** The burst-buffer storage tier: a per-node write-back shim between the
-    I/O layers and the backing PFS.
-
-    Ranks map to nodes through a configurable ranks-per-node layout.  Each
-    node owns an append-log of staged write extents: a write lands in the
-    writing node's log (cheap, node-local) and is {e drained} — replayed
-    into the backing {!Hpcfs_fs.Pfs.t} with its original issue timestamp
-    and rank — according to the configured {!Drain.t} policy.  Reads
-    compose the backing PFS's answer (under the PFS's own consistency
-    semantics) with the reading node's log, giving read-your-writes for
-    everything the node staged; a read fully served by the node log or by
-    a {!stage_in} snapshot never touches the PFS at all.
-
-    Because draining preserves issue timestamps, the backing PFS ends up
-    in exactly the state a direct run would have produced — the tier
-    changes {e when} data arrives and what in-flight reads observe, not
-    the final composition.  Staleness is accounted against the strong
-    ground truth ({!Hpcfs_fs.Pfs.read_oracle} plus all undrained extents),
-    so the end-to-end validation harness can compare tiered runs against
-    direct ones.
-
-    Like {!Hpcfs_fs.Pfs}, the module is time-agnostic: callers pass
-    logical timestamps.  Metadata operations are not interposed — they go
-    straight to the backing namespace, which stays strongly consistent. *)
+(** The burst-buffer tier: a per-node write-back cache over the
+    {!Hpcfs_fs.Staging} core.  A write lands in the writing node's buffer
+    and drains into the backing {!Hpcfs_fs.Pfs.t} with its original issue
+    time and rank when the {!Drain.t} policy says, so the PFS ends up as a
+    direct run leaves it: the tier changes when data arrives and what
+    in-flight reads observe.  A read overlays the reading node's buffer
+    (read-your-writes) on a {!stage_in} snapshot or on the PFS's answer
+    under its own semantics, and is served without the PFS when the
+    node covers it.  Staleness is measured against the strong ground
+    truth, so validation can compare tiered and direct runs.  Callers
+    pass logical timestamps; metadata goes straight to the PFS. *)
 
 type config = {
   ranks_per_node : int;  (** Ranks sharing one node-local buffer. *)
@@ -106,14 +93,15 @@ val laminate : t -> time:int -> string -> unit
     rather than explicit stage-out. *)
 
 val drain_file : t -> ?time:int -> string -> int
-(** Force-drain every undrained extent of one file (all nodes, staging
-    order); returns the bytes drained.  No stall is accounted.  [time]
-    (default [max_int]) is only consulted by an installed fault hook. *)
+(** Force-drain one file's staged extents (all nodes, staging order) up
+    to the first one whose drain fails; returns the bytes drained.  No
+    stall is accounted.  [time] (default [max_int]) is only consulted by
+    an installed fault hook. *)
 
 val drain_all : t -> ?time:int -> unit -> int
 (** Force-drain the whole backlog (e.g. at end of job); returns the bytes
-    drained.  Extents whose drain failed past the retry budget stay
-    staged. *)
+    drained.  An extent whose drain failed past the retry budget stays
+    staged, and so do its file's later extents. *)
 
 (** {1 Fault injection} *)
 

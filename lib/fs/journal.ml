@@ -1,4 +1,3 @@
-module Interval = Hpcfs_util.Interval
 module Backoff = Hpcfs_util.Backoff
 module Prng = Hpcfs_util.Prng
 module Obs = Hpcfs_obs.Obs
@@ -21,12 +20,9 @@ type t = {
   prng : Prng.t;
   (* Issue-order log, newest first; replay walks it reversed. *)
   mutable entries : entry list;
-  (* Publication watermarks per (rank, path): the newest commit/close the
-     client has completed, mirroring the engine's durability events.  An
-     entry is settled once the matching watermark strictly exceeds its
-     issue time — the exact rule {!Fdata.persisted} applies server-side. *)
-  commits : (int * string, int) Hashtbl.t;
-  closes : (int * string, int) Hashtbl.t;
+  (* Publication watermarks: an entry is settled once the client's matching
+     commit/close strictly follows it ({!Staging.settled}). *)
+  marks : Staging.marks;
   replayed_per_file : (string, int) Hashtbl.t;
   mutable recorded : int;
   mutable recorded_bytes : int;
@@ -48,8 +44,7 @@ let create ?(retry = Backoff.default) ~prng pfs =
     retry;
     prng;
     entries = [];
-    commits = Hashtbl.create 64;
-    closes = Hashtbl.create 64;
+    marks = Staging.marks ();
     replayed_per_file = Hashtbl.create 16;
     recorded = 0;
     recorded_bytes = 0;
@@ -71,22 +66,10 @@ let locked t f =
   end
   else f ()
 
-let watermark tbl ~rank ~path =
-  match Hashtbl.find_opt tbl (rank, path) with Some w -> w | None -> min_int
-
-let bump tbl ~rank ~path time =
-  if time > watermark tbl ~rank ~path then Hashtbl.replace tbl (rank, path) time
-
-(* Is [e] settled (durable under the engine) as of [time]?  Mirrors
-   {!Fdata.persisted}: strong persists on arrival, commit/session once the
-   publishing operation ran strictly after the write, eventual once the
-   propagation delay elapsed. *)
+(* Is [e] settled (durable under the engine) as of [time]? *)
 let settled_at t e ~time =
-  match Pfs.semantics t.pfs with
-  | Consistency.Strong -> e.e_time < time
-  | Consistency.Commit -> watermark t.commits ~rank:e.e_rank ~path:e.e_path > e.e_time
-  | Consistency.Session -> watermark t.closes ~rank:e.e_rank ~path:e.e_path > e.e_time
-  | Consistency.Eventual { delay } -> e.e_time + delay <= time
+  Staging.settled t.marks (Pfs.semantics t.pfs) ~rank:e.e_rank ~path:e.e_path
+    ~issued:e.e_time ~time
 
 let record t ~rank ~path ~time ~off data state =
   if Bytes.length data > 0 then locked t @@ fun () -> begin
@@ -109,29 +92,21 @@ let record t ~rank ~path ~time ~off data state =
   end
 
 let note_commit t ~rank ~path ~time =
-  locked t (fun () -> bump t.commits ~rank ~path time)
+  locked t (fun () -> Staging.note_commit t.marks ~rank ~path ~time)
 
 let note_close t ~rank ~path ~time =
-  locked t (fun () ->
-      bump t.closes ~rank ~path time;
-      (* A close also commits (cf. {!Fdata.session_close}). *)
-      bump t.commits ~rank ~path time)
-
-let laminated t path =
-  let ns = Pfs.namespace t.pfs in
-  Namespace.exists ns path && Fdata.is_laminated (Namespace.lookup_file ns path)
-
-let touches_target t e ~target =
-  let iv = Interval.of_len e.e_off (Bytes.length e.e_data) in
-  List.exists
-    (fun (srv, _) -> srv = target)
-    (Stripe.split_extent (Pfs.stripe t.pfs) iv)
+  locked t (fun () -> Staging.note_close t.marks ~rank ~path ~time)
 
 let on_target_fail t ~time ~target =
   List.iter
     (fun e ->
-      if e.e_state = Applied && touches_target t e ~target then
-        if laminated t e.e_path || settled_at t e ~time then e.e_state <- Settled
+      if
+        e.e_state = Applied
+        && Staging.touches_target t.pfs ~off:e.e_off
+             ~len:(Bytes.length e.e_data) ~target
+      then
+        if Staging.laminated t.pfs e.e_path || settled_at t e ~time then
+          e.e_state <- Settled
         else e.e_state <- Dirty)
     t.entries
 

@@ -9,11 +9,13 @@ let pid_of_track = function
   | Obs.T_sched -> 3
   | Obs.T_mpi -> 4
   | Obs.T_core -> 5
+  | Obs.T_wal -> 6
 
 let tid_of_track = function Obs.T_rank r -> r | _ -> 0
 
 let process_names =
-  [ (0, "ranks"); (1, "FS"); (2, "BB"); (3, "sched"); (4, "MPI"); (5, "analysis") ]
+  [ (0, "ranks"); (1, "FS"); (2, "BB"); (3, "sched"); (4, "MPI");
+    (5, "analysis"); (6, "WAL") ]
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -83,6 +85,7 @@ let record_args r =
    the metric ("bb.backlog" plots under the BB process). *)
 let pid_of_metric name =
   if String.length name >= 3 && String.sub name 0 3 = "bb." then 2
+  else if String.length name >= 4 && String.sub name 0 4 = "wal." then 6
   else if String.length name >= 3 && String.sub name 0 3 = "fs." then 1
   else if String.length name >= 4 && String.sub name 0 4 = "mpi." then 4
   else if String.length name >= 4 && String.sub name 0 4 = "sim." then 3

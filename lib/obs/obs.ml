@@ -1,9 +1,10 @@
-type track = T_rank of int | T_fs | T_bb | T_sched | T_mpi | T_core
+type track = T_rank of int | T_fs | T_bb | T_wal | T_sched | T_mpi | T_core
 
 let track_name = function
   | T_rank r -> Printf.sprintf "rank %d" r
   | T_fs -> "FS"
   | T_bb -> "BB"
+  | T_wal -> "WAL"
   | T_sched -> "sched"
   | T_mpi -> "MPI"
   | T_core -> "analysis"
@@ -78,6 +79,7 @@ let track_key = function
   | T_rank r -> r
   | T_fs -> max_int - 5
   | T_bb -> max_int - 4
+  | T_wal -> max_int - 6
   | T_sched -> max_int - 3
   | T_mpi -> max_int - 2
   | T_core -> max_int - 1

@@ -24,6 +24,7 @@ type track =
   | T_rank of int  (** One simulated MPI rank. *)
   | T_fs  (** The PFS simulator. *)
   | T_bb  (** The burst-buffer tier. *)
+  | T_wal  (** The host-side write-ahead log. *)
   | T_sched  (** The cooperative scheduler. *)
   | T_mpi  (** The communication substrate. *)
   | T_core  (** Offline analysis phases. *)

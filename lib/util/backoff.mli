@@ -1,6 +1,6 @@
 (** Capped exponential backoff with jitter, shared by every retry loop in
-    the simulator (burst-buffer drains, PFS client retries against a down
-    storage target).  Delays are logical ticks; callers account them
+    the simulator (burst-buffer drains, write-ahead log appends, PFS
+    client retries against a down storage target).  Delays are logical ticks; callers account them
     rather than advancing the clock, so retrying never perturbs the
     simulated schedule. *)
 

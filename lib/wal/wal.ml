@@ -3,11 +3,9 @@ module Fdata = Hpcfs_fs.Fdata
 module Backend = Hpcfs_fs.Backend
 module Namespace = Hpcfs_fs.Namespace
 module Consistency = Hpcfs_fs.Consistency
-module Stripe = Hpcfs_fs.Stripe
+module Staging = Hpcfs_fs.Staging
 module Target = Hpcfs_fs.Target
-module Interval = Hpcfs_util.Interval
 module Backoff = Hpcfs_util.Backoff
-module Prng = Hpcfs_util.Prng
 module Obs = Hpcfs_obs.Obs
 
 type config = {
@@ -27,176 +25,43 @@ let default_config =
     retry = Backoff.default;
   }
 
-(* One logged write, in the same shape as a {!Hpcfs_fs.Journal} entry: the
-   original issue timestamp and rank travel with the record so replaying it
-   into the PFS reproduces exactly the write history a direct run would
-   have built — only the arrival moment differs, and the PFS's own
-   consistency engine still decides publication. *)
-type rstate =
-  | Logged  (** In the log, not yet replayed into the PFS. *)
-  | Applied  (** Replayed; the PFS holds the bytes. *)
-  | Dropped  (** Truncated away before replay: nothing left to do. *)
-  | Lost  (** The log copy died (node crash) before it became durable. *)
-  | Torn
-      (** The in-flight append at a crash: the log tears at the record
-          boundary, so the whole record is discarded. *)
-
-type record = {
-  w_seq : int;  (* global append order; per-file order is a subsequence *)
-  w_file : string;
-  w_node : int;
-  w_rank : int;
-  w_time : int;
-  w_off : int;
-  mutable w_data : bytes;
-  mutable w_state : rstate;
-  (* Survived a crash or target failure in the durable log; its next
-     replay is a recovery, which the fsck report classifies. *)
-  mutable w_recover : bool;
-}
-
-type node = {
-  n_id : int;
-  (* Log-device flush watermark: the newest fsync/close any rank of this
-     node completed.  Records appended strictly before it are on the log
-     platter and survive the node's crash. *)
-  mutable n_flushed : int;
-  mutable n_pending : int;  (* logged-not-yet-replayed bytes on this node *)
-}
-
+(* The log is a journal over the staging core: a record stays in its
+   file's queue after replay ([Applied]), so a crash or a target failure
+   can revert it to the log and replay it again. *)
 type t = {
-  pfs : Pfs.t;
+  core : Staging.t;
   config : config;
-  nodes : (int, node) Hashtbl.t;
-  backlog : record Queue.t;  (* global append order, for paced drains *)
-  per_file : (string, record Queue.t) Hashtbl.t;  (* every record, in order *)
-  hw : (string, int) Hashtbl.t;  (* logged size high-water per file *)
   (* Publication watermarks per (rank, path), mirroring {!Journal}: which
      applied records are already persisted server-side decides what a
      storage failure forces us to re-replay. *)
-  commits : (int * string, int) Hashtbl.t;
-  closes : (int * string, int) Hashtbl.t;
-  recovered_per_file : (string, int) Hashtbl.t;
-  crash_lost_per_file : (string, int) Hashtbl.t;
-  crash_torn_per_file : (string, int) Hashtbl.t;
-  mutable cap_override : int option;  (* a plan's logcap=BYTES *)
-  mutable last_drain : int;
-  mutable occupancy : int;
-  mutable next_seq : int;
-  (* statistics *)
-  mutable s_writes : int;
-  mutable s_reads : int;
-  mutable s_bytes_written : int;
-  mutable s_bytes_read : int;
-  mutable s_appended : int;
-  mutable s_drained : int;
-  mutable s_flushes : int;
-  mutable s_stalls : int;
-  mutable s_stalled_bytes : int;
-  mutable s_peak : int;
-  mutable s_stale_reads : int;
-  mutable s_stale_bytes : int;
-  mutable s_writethrough : int;
-  mutable s_writethrough_bytes : int;
-  mutable s_drain_target_down : int;
-  mutable s_crash_lost_bytes : int;
-  mutable s_crash_torn_bytes : int;
-  mutable s_recovered_bytes : int;
-  (* fault injection *)
-  mutable log_fault : (node:int -> time:int -> bool) option;
-  mutable fault_prng : Prng.t;
-  mutable s_log_faults : int;
-  mutable s_log_retries : int;
-  mutable s_backoff_ticks : int;
-  mutable s_log_aborts : int;
-  mu : Mutex.t;  (* serializes the data surface during parallel runs *)
+  marks : Staging.marks;
+  (* Log-device flush watermark per node: the newest fsync/close any rank
+     of the node completed.  Records appended strictly before it are on
+     the log platter and survive the node's crash. *)
+  flushed : (int, int) Hashtbl.t;
+  mutable cap_override : int option; (* a plan's logcap=BYTES *)
+  mutable flushes : int;
+  writethrough : Staging.counter;
+  writethrough_bytes : Staging.counter;
+  crash_torn : Staging.counter;
+  mutable backend : Backend.t;
 }
 
-let create ?(config = default_config) pfs =
-  {
-    pfs;
-    config;
-    nodes = Hashtbl.create 16;
-    backlog = Queue.create ();
-    per_file = Hashtbl.create 16;
-    hw = Hashtbl.create 16;
-    commits = Hashtbl.create 64;
-    closes = Hashtbl.create 64;
-    recovered_per_file = Hashtbl.create 16;
-    crash_lost_per_file = Hashtbl.create 16;
-    crash_torn_per_file = Hashtbl.create 16;
-    cap_override = None;
-    last_drain = 0;
-    occupancy = 0;
-    next_seq = 0;
-    s_writes = 0;
-    s_reads = 0;
-    s_bytes_written = 0;
-    s_bytes_read = 0;
-    s_appended = 0;
-    s_drained = 0;
-    s_flushes = 0;
-    s_stalls = 0;
-    s_stalled_bytes = 0;
-    s_peak = 0;
-    s_stale_reads = 0;
-    s_stale_bytes = 0;
-    s_writethrough = 0;
-    s_writethrough_bytes = 0;
-    s_drain_target_down = 0;
-    s_crash_lost_bytes = 0;
-    s_crash_torn_bytes = 0;
-    s_recovered_bytes = 0;
-    log_fault = None;
-    fault_prng = Prng.create 0;
-    s_log_faults = 0;
-    s_log_retries = 0;
-    s_backoff_ticks = 0;
-    s_log_aborts = 0;
-    mu = Mutex.create ();
-  }
-
-let set_fault t ?prng hook =
-  t.log_fault <- hook;
-  Option.iter (fun p -> t.fault_prng <- p) prng
-
+let set_fault t ?prng hook = Staging.set_fault t.core ?prng hook
 let set_cap_override t cap = t.cap_override <- cap
-let pfs t = t.pfs
+let pfs t = Staging.pfs t.core
 let config t = t.config
-let occupancy t = t.occupancy
+let occupancy t = Staging.occupancy t.core
+let node_of_rank t rank = Staging.node_of_rank t.core rank
+let semantics t = Pfs.semantics (pfs t)
 
 let effective_cap t =
   match (t.config.capacity_per_node, t.cap_override) with
   | None, c | c, None -> c
   | Some a, Some b -> Some (min a b)
 
-let node_of_rank t rank =
-  if rank < 0 then rank else rank / max 1 t.config.ranks_per_node
-
-let get_node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None ->
-    let n = { n_id = id; n_flushed = min_int; n_pending = 0 } in
-    Hashtbl.add t.nodes id n;
-    n
-
-let file_queue t path =
-  match Hashtbl.find_opt t.per_file path with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.add t.per_file path q;
-    q
-
-let hw_size t path = Option.value ~default:0 (Hashtbl.find_opt t.hw path)
-let file_size t path = max (Pfs.file_size t.pfs path) (hw_size t path)
-
-let watermark tbl ~rank ~path =
-  match Hashtbl.find_opt tbl (rank, path) with Some w -> w | None -> min_int
-
-let bump tbl ~rank ~path time =
-  if time > watermark tbl ~rank ~path then Hashtbl.replace tbl (rank, path) time
+let flushed t node =
+  Option.value ~default:min_int (Hashtbl.find_opt t.flushed node)
 
 (* Is the log copy of [r] on stable log media as of [time]?  Strong mode
    runs the log synchronously (every append hits the platter — the price
@@ -204,484 +69,218 @@ let bump tbl ~rank ~path time =
    an fsync or close by any rank of the node flushes the whole node log;
    under eventual an aged-out record has already been published, so its
    log copy no longer matters. *)
-let durable t r ~time =
-  match Pfs.semantics t.pfs with
+let durable t (r : Staging.record) ~time =
+  flushed t r.node > r.time
+  ||
+  match semantics t with
   | Consistency.Strong -> true
-  | Consistency.Commit | Consistency.Session ->
-    (get_node t r.w_node).n_flushed > r.w_time
-  | Consistency.Eventual { delay } ->
-    r.w_time + delay <= time || (get_node t r.w_node).n_flushed > r.w_time
+  | Consistency.Eventual { delay } -> r.time + delay <= time
+  | Consistency.Commit | Consistency.Session -> false
 
-(* Is an applied record already persisted server-side (same rule as
-   {!Journal.settled_at} / {!Fdata.persisted})?  Settled bytes survive a
-   target failure on their own; unsettled ones must be re-replayed from
-   the log. *)
-let settled_at t r ~time =
-  match Pfs.semantics t.pfs with
-  | Consistency.Strong -> r.w_time < time
-  | Consistency.Commit ->
-    watermark t.commits ~rank:r.w_rank ~path:r.w_file > r.w_time
-  | Consistency.Session ->
-    watermark t.closes ~rank:r.w_rank ~path:r.w_file > r.w_time
-  | Consistency.Eventual { delay } -> r.w_time + delay <= time
+(* Is an applied record already persisted server-side?  Settled bytes
+   survive a target failure on their own; unsettled ones must be
+   re-replayed from the log. *)
+let settled_at t (r : Staging.record) ~time =
+  Staging.settled t.marks (semantics t) ~rank:r.rank ~path:r.file
+    ~issued:r.time ~time
 
-let laminated t path =
-  let ns = Pfs.namespace t.pfs in
-  Namespace.exists ns path && Fdata.is_laminated (Namespace.lookup_file ns path)
-
-let touches_target t r ~target =
-  let iv = Interval.of_len r.w_off (Bytes.length r.w_data) in
-  List.exists
-    (fun (srv, _) -> srv = target)
-    (Stripe.split_extent (Pfs.stripe t.pfs) iv)
-
-(* Draining ---------------------------------------------------------------- *)
-
-(* Replay one logged record into the PFS with its original issue timestamp
-   and rank.  Returns the bytes applied; 0 means the backing target is
-   down and the record stays logged — per-file replay order is preserved
-   by never draining past a blocked record of the same file. *)
-let drain_record t r =
-  match r.w_state with
-  | Applied | Dropped | Lost | Torn -> 0
-  | Logged -> (
-    match
-      Pfs.write t.pfs ~time:r.w_time ~rank:r.w_rank r.w_file ~off:r.w_off
-        r.w_data
-    with
-    | exception (Target.Target_down _ | Target.Mds_down _) ->
-      t.s_drain_target_down <- t.s_drain_target_down + 1;
-      Obs.incr "wal.drain_target_down";
-      0
-    | () ->
-      r.w_state <- Applied;
-      let len = Bytes.length r.w_data in
-      let node = get_node t r.w_node in
-      node.n_pending <- node.n_pending - len;
-      t.occupancy <- t.occupancy - len;
-      t.s_drained <- t.s_drained + len;
-      Obs.incr ~by:len "wal.drained_bytes";
-      if r.w_recover then begin
-        r.w_recover <- false;
-        t.s_recovered_bytes <- t.s_recovered_bytes + len;
-        Hashtbl.replace t.recovered_per_file r.w_file
-          (len
-          +
-          match Hashtbl.find_opt t.recovered_per_file r.w_file with
-          | Some n -> n
-          | None -> 0);
-        Obs.incr ~by:len "wal.recovered_bytes"
-      end;
-      Obs.gauge "wal.backlog" t.occupancy;
-      len)
-
-(* Replay a file's logged records in append order, stopping at the first
-   blocked one: replay never reorders a file's write history. *)
-let drain_for_file t path =
-  match Hashtbl.find_opt t.per_file path with
-  | None -> 0
-  | Some q ->
-    let drained = ref 0 in
-    (try
-       Queue.iter
-         (fun r ->
-           if r.w_state = Logged then begin
-             let n = drain_record t r in
-             if n = 0 then raise Exit;
-             drained := !drained + n
-           end)
-         q
-     with Exit -> ());
-    !drained
-
-(* Replay up to [budget] backlog bytes, oldest records first.  A blocked
-   head stops the pass (order before progress); the last record is never
-   split — real replays move whole log records. *)
-let drain_backlog t budget =
-  let remaining = ref budget in
-  let total = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && not (Queue.is_empty t.backlog) do
-    let r = Queue.peek t.backlog in
-    if r.w_state <> Logged then ignore (Queue.pop t.backlog)
-    else if !remaining <= 0 then continue_ := false
-    else begin
-      let len = drain_record t r in
-      if r.w_state = Logged then continue_ := false
-      else begin
-        ignore (Queue.pop t.backlog);
-        remaining := !remaining - len;
-        total := !total + len
-      end
-    end
-  done;
-  !total
-
-let maybe_bg_drain t ~time =
-  if time - t.last_drain >= t.config.drain_interval then begin
-    let budget = t.config.bandwidth_bytes_per_tick * (time - t.last_drain) in
-    t.last_drain <- max t.last_drain time;
-    let drained = drain_backlog t budget in
-    if drained > 0 then
-      Obs.event Obs.T_bb
-        ~args:[ ("bytes", string_of_int drained) ]
-        "wal-drain"
-  end
-
-(* Final/recovery replay: everything that can reach a live target does,
-   skipping only files whose replay head is blocked — per-file order is
-   kept even while other files drain past them. *)
-let drain_all t =
-  let total = ref 0 in
-  let requeue = Queue.create () in
-  let blocked = Hashtbl.create 4 in
-  while not (Queue.is_empty t.backlog) do
-    let r = Queue.pop t.backlog in
-    if r.w_state = Logged then
-      if Hashtbl.mem blocked r.w_file then Queue.add r requeue
-      else begin
-        let n = drain_record t r in
-        if r.w_state = Logged then begin
-          Hashtbl.add blocked r.w_file ();
-          Queue.add r requeue
-        end
-        else total := !total + n
-      end
-  done;
-  Queue.transfer requeue t.backlog;
-  !total
-
-let stall t bytes =
-  if bytes > 0 then begin
-    t.s_stalls <- t.s_stalls + 1;
-    t.s_stalled_bytes <- t.s_stalled_bytes + bytes;
-    Obs.incr "wal.stalls";
-    Obs.incr ~by:bytes "wal.stalled_bytes";
-    Obs.event Obs.T_bb ~args:[ ("bytes", string_of_int bytes) ] "wal-stall"
-  end
+let bg_drain t ~time =
+  Staging.paced_drain t.core ~time ~bandwidth:t.config.bandwidth_bytes_per_tick
+    ~interval:t.config.drain_interval
 
 (* The publication rule per engine: which operations must wait for the
    file's replay.  Strong publishes on arrival, so visibility is enforced
    at reads instead; commit publishes on fsync (and close, which also
    commits); session publishes on close only; eventual publishes by age
    alone — nothing synchronous. *)
-let flush_on_fsync t =
-  match Pfs.semantics t.pfs with
-  | Consistency.Strong | Consistency.Commit -> true
-  | Consistency.Session | Consistency.Eventual _ -> false
+let flush_on t op =
+  match (semantics t, op) with
+  | (Consistency.Strong | Consistency.Commit), _ | Consistency.Session, `Close -> true
+  | Consistency.Session, `Fsync | Consistency.Eventual _, _ -> false
 
-let flush_on_close t =
-  match Pfs.semantics t.pfs with
-  | Consistency.Strong | Consistency.Commit | Consistency.Session -> true
-  | Consistency.Eventual _ -> false
+let flush_file t ~time path =
+  Staging.stall t.core (Staging.drain_file t.core ~time path)
 
-(* Replay this file's aged records (eventual semantics): anything whose
-   TTL elapsed must be in the PFS before the read observes the file.  The
-   queue is issue-time ordered, so the aged set is a prefix. *)
-let drain_aged t ~time ~delay path =
-  match Hashtbl.find_opt t.per_file path with
-  | None -> ()
-  | Some q -> (
-    try
-      Queue.iter
-        (fun r ->
-          if r.w_state = Logged then
-            if r.w_time + delay <= time then begin
-              if drain_record t r = 0 then raise Exit
-            end
-            else raise Exit)
-        q
-    with Exit -> ())
-
+(* Strong: the whole file is replayed before the read observes it.
+   Eventual: every record whose TTL elapsed is, and the queue is
+   issue-time ordered, so that is a prefix. *)
 let visibility_drain t ~time path =
-  match Pfs.semantics t.pfs with
-  | Consistency.Strong -> stall t (drain_for_file t path)
-  | Consistency.Eventual { delay } -> drain_aged t ~time ~delay path
+  match semantics t with
+  | Consistency.Strong -> flush_file t ~time path
+  | Consistency.Eventual { delay } ->
+    ignore (Staging.drain_file t.core ~upto:(time - delay) ~time path)
   | Consistency.Commit | Consistency.Session -> ()
 
 (* Data surface ------------------------------------------------------------- *)
 
-let truncate_logged t path len =
-  (match Hashtbl.find_opt t.per_file path with
-  | None -> ()
-  | Some q ->
-    Queue.iter
-      (fun r ->
-        if r.w_state = Logged then begin
-          let l = Bytes.length r.w_data in
-          if r.w_off >= len then begin
-            let node = get_node t r.w_node in
-            node.n_pending <- node.n_pending - l;
-            t.occupancy <- t.occupancy - l;
-            r.w_data <- Bytes.empty;
-            r.w_state <- Dropped
-          end
-          else if r.w_off + l > len then begin
-            let keep = len - r.w_off in
-            let node = get_node t r.w_node in
-            node.n_pending <- node.n_pending - (l - keep);
-            t.occupancy <- t.occupancy - (l - keep);
-            r.w_data <- Bytes.sub r.w_data 0 keep
-          end
-        end)
-      q);
-  Hashtbl.replace t.hw path (min (hw_size t path) len)
-
-let open_file t ~time ~rank ?(create = false) ?(trunc = false) path =
-  maybe_bg_drain t ~time;
+let open_file t ~time ~rank ~create ~trunc path =
+  bg_drain t ~time;
   if trunc then begin
     (* Apply everything logged first, then let the PFS cut it: the file
        ends up with exactly the write-then-truncate history of a direct
        run.  Records still blocked behind a dead target are truncated in
        the log — they would have been cut on the PFS anyway. *)
-    ignore (drain_for_file t path);
-    truncate_logged t path 0
+    ignore (Staging.drain_file t.core ~time path);
+    Staging.truncate t.core path 0
   end;
-  ignore (Pfs.open_file t.pfs ~time ~rank ~create ~trunc path);
-  file_size t path
+  ignore (Pfs.open_file (pfs t) ~time ~rank ~create ~trunc path);
+  Staging.file_size t.core path
 
 let note_flush t ~time ~rank =
-  let node = get_node t (node_of_rank t rank) in
-  node.n_flushed <- max node.n_flushed time;
-  t.s_flushes <- t.s_flushes + 1
+  let node = node_of_rank t rank in
+  Hashtbl.replace t.flushed node (max (flushed t node) time);
+  t.flushes <- t.flushes + 1
 
 let close_file t ~time ~rank path =
-  maybe_bg_drain t ~time;
-  if flush_on_close t then stall t (drain_for_file t path);
+  bg_drain t ~time;
+  if flush_on t `Close then flush_file t ~time path;
   note_flush t ~time ~rank;
-  Pfs.close_file t.pfs ~time ~rank path;
-  bump t.closes ~rank ~path time;
-  (* a close also commits (cf. {!Fdata.session_close}) *)
-  bump t.commits ~rank ~path time
+  Pfs.close_file (pfs t) ~time ~rank path;
+  Staging.note_close t.marks ~rank ~path ~time
 
 let fsync t ~time ~rank path =
-  maybe_bg_drain t ~time;
-  if flush_on_fsync t then stall t (drain_for_file t path);
+  bg_drain t ~time;
+  if flush_on t `Fsync then flush_file t ~time path;
   note_flush t ~time ~rank;
-  Pfs.fsync t.pfs ~time ~rank path;
-  bump t.commits ~rank ~path time
-
-(* The logfail retry loop: one append may fail transiently when the plan
-   installed a log-fault hook; failures retry under the configured capped
-   backoff, accounted rather than slept.  [false] after the budget is
-   exhausted — the caller degrades to write-through. *)
-let append_admitted t ~time ~node =
-  match t.log_fault with
-  | None -> true
-  | Some fails ->
-    let retry = t.config.retry in
-    let rec attempt n =
-      if not (fails ~node ~time) then true
-      else begin
-        t.s_log_faults <- t.s_log_faults + 1;
-        Obs.incr "wal.log_faults";
-        if n >= retry.Backoff.max_retries then begin
-          t.s_log_aborts <- t.s_log_aborts + 1;
-          Obs.incr "wal.log_aborts";
-          false
-        end
-        else begin
-          let delay = Backoff.delay retry t.fault_prng ~attempt:n in
-          t.s_log_retries <- t.s_log_retries + 1;
-          t.s_backoff_ticks <- t.s_backoff_ticks + delay;
-          Obs.incr "wal.log_retries";
-          Obs.incr ~by:delay "wal.log_backoff_ticks";
-          attempt (n + 1)
-        end
-      end
-    in
-    attempt 0
-
-let file_has_logged t path =
-  match Hashtbl.find_opt t.per_file path with
-  | None -> false
-  | Some q -> Queue.fold (fun acc r -> acc || r.w_state = Logged) false q
-
-let append_record t ~time ~rank ~node path ~off data =
-  let len = Bytes.length data in
-  let r =
-    {
-      w_seq = t.next_seq;
-      w_file = path;
-      w_node = node.n_id;
-      w_rank = rank;
-      w_time = time;
-      w_off = off;
-      w_data = Bytes.copy data;
-      w_state = Logged;
-      w_recover = false;
-    }
-  in
-  t.next_seq <- t.next_seq + 1;
-  Queue.add r t.backlog;
-  Queue.add r (file_queue t path);
-  node.n_pending <- node.n_pending + len;
-  t.occupancy <- t.occupancy + len;
-  t.s_appended <- t.s_appended + len;
-  Obs.incr ~by:len "wal.appended_bytes";
-  Obs.gauge "wal.backlog" t.occupancy;
-  if t.occupancy > t.s_peak then t.s_peak <- t.occupancy
+  Pfs.fsync (pfs t) ~time ~rank path;
+  Staging.note_commit t.marks ~rank ~path ~time
 
 (* Degrade one write to a direct PFS write (log device dead, or log full
    past eviction).  The file's logged records must land first or its write
    history would be reordered; when the replay head is blocked by a down
    target — or the direct write itself finds the target down — the record
    goes to the log after all (the controller buffers the append). *)
-let write_through t ~time ~rank ~node path ~off data =
-  stall t (drain_for_file t path);
-  let fallback () = append_record t ~time ~rank ~node path ~off data in
-  if file_has_logged t path then fallback ()
+let write_through t ~time ~rank node path ~off data =
+  flush_file t ~time path;
+  let fallback () = Staging.append t.core ~time ~rank node path ~off data in
+  if Staging.bytes_in t.core path Staged > 0 then fallback ()
   else
-    match Pfs.write t.pfs ~time ~rank path ~off data with
+    match Pfs.write (pfs t) ~time ~rank path ~off data with
     | () ->
-      t.s_writethrough <- t.s_writethrough + 1;
-      t.s_writethrough_bytes <- t.s_writethrough_bytes + Bytes.length data;
-      Obs.incr "wal.writethrough";
-      Obs.incr ~by:(Bytes.length data) "wal.writethrough_bytes"
-    | exception (Target.Target_down _ | Target.Mds_down _) -> fallback ()
+      Staging.count t.writethrough 1;
+      Staging.count t.writethrough_bytes (Bytes.length data)
+    | exception Target.Target_down _ -> fallback ()
 
 let write t ~time ~rank path ~off data =
-  maybe_bg_drain t ~time;
+  bg_drain t ~time;
   let len = Bytes.length data in
-  t.s_writes <- t.s_writes + 1;
-  t.s_bytes_written <- t.s_bytes_written + len;
-  Obs.incr "wal.writes";
-  Obs.incr ~by:len "wal.bytes_written";
+  Staging.begin_write t.core path ~off len;
   if len > 0 then begin
-    if laminated t path then invalid_arg "Wal.write: file is laminated";
-    let node = get_node t (node_of_rank t rank) in
-    Hashtbl.replace t.hw path (max (hw_size t path) (off + len));
-    if not (append_admitted t ~time ~node:node.n_id) then
-      write_through t ~time ~rank ~node path ~off data
+    let node = Staging.node t.core (node_of_rank t rank) in
+    let over_cap () =
+      match effective_cap t with
+      | Some cap -> node.pending + len > cap
+      | None -> false
+    in
+    (* The logfail retry loop: a write whose append exhausts its retry
+       budget degrades to write-through. *)
+    if not (Staging.admitted t.core ~node:node.id ~time) then
+      write_through t ~time ~rank node path ~off data
     else begin
       (* Log-full backpressure: replay from the global head until this
          node's log fits the record — the stall a checkpoint burst pays
          when it outruns the drain bandwidth. *)
-      let over_cap () =
-        match effective_cap t with
-        | Some cap -> node.n_pending + len > cap
-        | None -> false
-      in
-      if over_cap () then begin
-        let forced = ref 0 in
-        let continue_ = ref true in
-        while !continue_ && over_cap () && not (Queue.is_empty t.backlog) do
-          let r = Queue.peek t.backlog in
-          if r.w_state <> Logged then ignore (Queue.pop t.backlog)
-          else begin
-            let n = drain_record t r in
-            if r.w_state = Logged then continue_ := false
-            else begin
-              ignore (Queue.pop t.backlog);
-              forced := !forced + n
-            end
-          end
-        done;
-        if !forced > 0 then begin
-          Obs.incr "wal.evictions";
-          Obs.incr ~by:!forced "wal.evicted_bytes"
-        end;
-        stall t !forced
-      end;
-      if over_cap () then write_through t ~time ~rank ~node path ~off data
-      else append_record t ~time ~rank ~node path ~off data
+      if over_cap () then Staging.evict t.core ~time over_cap;
+      if over_cap () then write_through t ~time ~rank node path ~off data
+      else Staging.append t.core ~time ~rank node path ~off data
     end
   end
 
-let paint ~off buf r =
-  match
-    Interval.intersect
-      (Interval.of_len off (Bytes.length buf))
-      (Interval.of_len r.w_off (Bytes.length r.w_data))
-  with
-  | None -> ()
-  | Some inter ->
-    Bytes.blit r.w_data
-      (inter.Interval.lo - r.w_off)
-      buf
-      (inter.Interval.lo - off)
-      (Interval.length inter)
-
-let pfs_read t ~time ~rank path ~off ~len =
-  try Pfs.read t.pfs ~time ~rank path ~off ~len
-  with Target.Target_down _ -> Pfs.read_degraded t.pfs ~time ~rank path ~off ~len
-
-(* Ground truth for staleness accounting: the PFS oracle plus every
-   still-logged record painted in append order — the same strongly
-   consistent contents {!Hpcfs_bb.Tier} measures against. *)
-let ground_truth t path ~off ~len =
-  let buf = Bytes.make len '\000' in
-  let oracle = Pfs.read_oracle t.pfs path ~off ~len in
-  Bytes.blit oracle 0 buf 0 (Bytes.length oracle);
-  (match Hashtbl.find_opt t.per_file path with
-  | None -> ()
-  | Some q ->
-    Queue.iter (fun r -> if r.w_state = Logged then paint ~off buf r) q);
-  buf
-
 let read t ~time ~rank path ~off ~len =
-  maybe_bg_drain t ~time;
+  bg_drain t ~time;
   visibility_drain t ~time path;
-  let size = file_size t path in
+  let size = Staging.file_size t.core path in
   let n = max 0 (min len (max 0 (size - off))) in
-  let base = pfs_read t ~time ~rank path ~off ~len:n in
+  let base = Staging.pfs_read t.core ~time ~rank path ~off ~len:n in
   let buf = Bytes.make n '\000' in
   Bytes.blit base.Fdata.data 0 buf 0 (Bytes.length base.Fdata.data);
   (* Read-your-writes: the caller's own still-logged records are painted
      on top, in append order — the same local-order guarantee the PFS
      gives a process for its own unpublished writes. *)
-  (match Hashtbl.find_opt t.per_file path with
-  | None -> ()
-  | Some q ->
-    Queue.iter
-      (fun r -> if r.w_state = Logged && r.w_rank = rank then paint ~off buf r)
-      q);
-  let truth = ground_truth t path ~off ~len:n in
-  let stale = ref 0 in
-  for i = 0 to n - 1 do
-    if Bytes.get buf i <> Bytes.get truth i then incr stale
-  done;
-  t.s_reads <- t.s_reads + 1;
-  t.s_bytes_read <- t.s_bytes_read + n;
-  Obs.incr "wal.reads";
-  Obs.incr ~by:n "wal.bytes_read";
-  if !stale > 0 then begin
-    t.s_stale_reads <- t.s_stale_reads + 1;
-    t.s_stale_bytes <- t.s_stale_bytes + !stale
-  end;
-  { Fdata.data = buf; stale_bytes = !stale }
+  Staging.iter_file t.core path (fun r ->
+      if r.state = Staged && r.rank = rank then Staging.paint ~off buf r);
+  Staging.finish_read t.core path ~off buf
 
 let truncate t ~time path len =
-  maybe_bg_drain t ~time;
-  ignore (drain_for_file t path);
-  Pfs.truncate t.pfs ~time path len;
-  truncate_logged t path len
+  bg_drain t ~time;
+  ignore (Staging.drain_file t.core ~time path);
+  Pfs.truncate (pfs t) ~time path len;
+  Staging.truncate t.core path len
+
+let create ?(config = default_config) pfs =
+  let core =
+    Staging.create ~label:"Wal" ~prefix:"wal" ~track:Obs.T_wal
+      ~staged:"appended_bytes" ~fault:"log" ~drain_event:"wal-drain"
+      ~stall_event:"wal-stall" ~stall_histogram:false ~gate_drains:false
+      ~ranks_per_node:config.ranks_per_node ~retry:config.retry pfs
+  in
+  let t =
+    {
+      core;
+      config;
+      marks = Staging.marks ();
+      flushed = Hashtbl.create 16;
+      cap_override = None;
+      flushes = 0;
+      writethrough = Staging.counter "wal.writethrough";
+      writethrough_bytes = Staging.counter "wal.writethrough_bytes";
+      crash_torn = Staging.counter "wal.crash_torn_bytes";
+      backend = Backend.of_pfs pfs;
+    }
+  in
+  t.backend <-
+    Staging.backend core ~open_file:(open_file t) ~close_file:(close_file t)
+      ~read:(read t) ~write:(write t) ~fsync:(fsync t) ~truncate:(truncate t);
+  t
+
+(* The locked data surface.  Under the parallel scheduler the append
+   order of racing ranks is interleaving-dependent, so WAL runs make their
+   determinism claims on the legacy scheduler (like faulted runs do). *)
+let backend t = t.backend
+
+let open_file t ~time ~rank ?(create = false) ?(trunc = false) path =
+  t.backend.open_file ~time ~rank ~create ~trunc path
+
+let close_file t = t.backend.close_file
+let fsync t = t.backend.fsync
+let write t = t.backend.write
+let read t = t.backend.read
+let truncate t = t.backend.truncate
+let file_size t = t.backend.file_size
+
+let drain_all t =
+  Staging.locked t.core (fun () -> Staging.drain_all t.core ~time:max_int)
 
 (* Failure handling --------------------------------------------------------- *)
 
-let rebuild_backlog t =
-  Queue.clear t.backlog;
-  let logged =
-    Hashtbl.fold
-      (fun _ q acc ->
-        Queue.fold (fun acc r -> if r.w_state = Logged then r :: acc else acc)
-          acc q)
-      t.per_file []
-  in
-  Hashtbl.iter (fun _ n -> n.n_pending <- 0) t.nodes;
-  t.occupancy <- 0;
-  List.iter
-    (fun r ->
-      let len = Bytes.length r.w_data in
-      (get_node t r.w_node).n_pending <- (get_node t r.w_node).n_pending + len;
-      t.occupancy <- t.occupancy + len;
-      Queue.add r t.backlog)
-    (List.sort (fun a b -> compare a.w_seq b.w_seq) logged);
-  Obs.gauge "wal.backlog" t.occupancy
+(* Lost and torn records keep their bytes: the fsck classifies by them. *)
+let lose (r : Staging.record) state total =
+  r.state <- state;
+  total := !total + Bytes.length r.data
 
-let tally tbl path len =
-  Hashtbl.replace tbl path
-    (len + match Hashtbl.find_opt tbl path with Some n -> n | None -> 0)
+(* Revert, in every unlaminated file, the applied suffix starting at the
+   first applied record [from] selects: the whole suffix returns to the
+   log, settled or not, so re-replay rebuilds the file's history in issue
+   order.  With [mark_logged], records still in the log are marked as
+   recoveries too. *)
+let revert_suffix t ?(mark_logged = false) from =
+  Staging.iter_files t.core (fun path q ->
+      if not (Staging.laminated (pfs t) path) then begin
+        let reverting = ref false in
+        Queue.iter
+          (fun (r : Staging.record) ->
+            match r.state with
+            | Applied ->
+              if (not !reverting) && from r then reverting := true;
+              if !reverting then begin
+                r.state <- Staged;
+                r.recover <- true
+              end
+            | Staged -> if mark_logged then r.recover <- true
+            | Dropped | Lost | Torn -> ())
+          q
+      end);
+  Staging.requeue t.core
 
 type crash_summary = { lost_bytes : int; torn_bytes : int }
 
@@ -690,108 +289,45 @@ type crash_summary = { lost_bytes : int; torn_bytes : int }
    in-flight append (Torn), the rest of the tail is Lost.  Pass 2 (every
    node, and the only pass for a victimless MDS abort): the PFS is about
    to drop its unpublished bytes, so every applied-but-unsettled record —
-   and everything applied after it in the same file, settled or not, to
-   keep the file's replayed history in issue order — reverts to the log
+   and everything applied after it in the same file — reverts to the log
    for re-replay.  Surviving logged records are marked as recoveries.
    Call this before {!Pfs.crash}. *)
 let on_crash t ?victim ~time () =
+  Staging.locked t.core @@ fun () ->
   let lost = ref 0 and torn = ref 0 in
-  (match victim with
+  (match Option.map (Staging.node t.core) victim with
   | None -> ()
-  | Some v ->
-    let dead = ref [] in
-    Hashtbl.iter
-      (fun _ q ->
-        Queue.iter
-          (fun r ->
-            match r.w_state with
-            | Logged when r.w_node = v && not (durable t r ~time) ->
-              dead := r :: !dead
-            | Applied when r.w_node = v && not (durable t r ~time) ->
-              (* The PFS may still persist settled bytes; only the log
-                 copy is gone.  An unsettled applied record whose bytes
-                 the PFS drops has no log copy to replay from: lost. *)
-              if not (laminated t r.w_file || settled_at t r ~time) then begin
-                r.w_state <- Lost;
-                let l = Bytes.length r.w_data in
-                lost := !lost + l;
-                tally t.crash_lost_per_file r.w_file l
-              end
-            | _ -> ())
-          q)
-      t.per_file;
-    let dead =
-      List.sort (fun a b -> compare a.w_seq b.w_seq) !dead
-    in
-    let n = List.length dead in
-    List.iteri
-      (fun i r ->
-        let l = Bytes.length r.w_data in
-        if i = n - 1 then begin
-          r.w_state <- Torn;
-          torn := !torn + l;
-          tally t.crash_torn_per_file r.w_file l
-        end
-        else begin
-          r.w_state <- Lost;
-          lost := !lost + l;
-          tally t.crash_lost_per_file r.w_file l
-        end)
-      dead);
-  (* Pass 2: revert the applied-but-unpersisted suffix of every file. *)
-  Hashtbl.iter
-    (fun path q ->
-      if not (laminated t path) then begin
-        let reverting = ref false in
-        Queue.iter
-          (fun r ->
-            match r.w_state with
-            | Applied ->
-              if (not !reverting) && not (settled_at t r ~time) then
-                reverting := true;
-              if !reverting then begin
-                r.w_state <- Logged;
-                r.w_recover <- true
-              end
-            | Logged -> r.w_recover <- true
-            | Dropped | Lost | Torn -> ())
-          q
-      end)
-    t.per_file;
-  rebuild_backlog t;
-  t.s_crash_lost_bytes <- t.s_crash_lost_bytes + !lost;
-  t.s_crash_torn_bytes <- t.s_crash_torn_bytes + !torn;
-  if !lost > 0 then Obs.incr ~by:!lost "wal.crash_lost_bytes";
-  if !torn > 0 then Obs.incr ~by:!torn "wal.crash_torn_bytes";
+  | Some node ->
+    (* The node log is newest first: its first lost record is the
+       in-flight append. *)
+    List.iter
+      (fun (r : Staging.record) ->
+        match r.state with
+        | Staged when not (durable t r ~time) ->
+          if !torn = 0 then lose r Torn torn else lose r Lost lost
+        | Applied when not (durable t r ~time) ->
+          (* The PFS may still persist settled bytes; only the log copy is
+             gone.  An unsettled applied record whose bytes the PFS drops
+             has no log copy to replay from: lost. *)
+          if not (Staging.laminated (pfs t) r.file || settled_at t r ~time) then
+            lose r Lost lost
+        | _ -> ())
+      node.log);
+  revert_suffix t ~mark_logged:true (fun r -> not (settled_at t r ~time));
+  if !lost > 0 then Staging.count (Staging.counters t.core).crash_lost !lost;
+  if !torn > 0 then Staging.count t.crash_torn !torn;
   { lost_bytes = !lost; torn_bytes = !torn }
 
 (* A storage target failed: its unpersisted chunks are gone from the PFS,
-   but every record lives host-side in the log.  Park the affected
-   applied records — and the rest of each file's applied suffix, so the
-   re-replay rebuilds the write history in issue order — for journal-style
+   but every record lives host-side in the log.  Park the affected applied
+   records — and the rest of each file's applied suffix — for journal-style
    re-replay once the target recovers or fails over. *)
 let on_target_fail t ~time ~target =
-  Hashtbl.iter
-    (fun path q ->
-      if not (laminated t path) then begin
-        let reverting = ref false in
-        Queue.iter
-          (fun r ->
-            if r.w_state = Applied then begin
-              if
-                (not !reverting)
-                && touches_target t r ~target
-                && not (settled_at t r ~time)
-              then reverting := true;
-              if !reverting then begin
-                r.w_state <- Logged;
-                r.w_recover <- true
-              end
-            end)
-          q
-      end)
-    t.per_file;
-  rebuild_backlog t
+  Staging.locked t.core @@ fun () ->
+  revert_suffix t (fun r ->
+      Staging.touches_target (pfs t) ~off:r.off ~len:(Bytes.length r.data)
+        ~target
+      && not (settled_at t r ~time))
 
 (* Post-crash fsck, mirroring {!Hpcfs_fs.Recovery.check}: a final replay
    pass, then per-file classification of what the log brought back and
@@ -825,25 +361,14 @@ type check_report = {
 
 let check t =
   ignore (drain_all t);
-  let paths = List.sort compare (Namespace.all_files (Pfs.namespace t.pfs)) in
-  let per_file tbl path =
-    match Hashtbl.find_opt tbl path with Some n -> n | None -> 0
-  in
+  let paths = List.sort compare (Namespace.all_files (Pfs.namespace (pfs t))) in
   let files =
     List.map
       (fun path ->
-        let pending =
-          match Hashtbl.find_opt t.per_file path with
-          | None -> 0
-          | Some q ->
-            Queue.fold
-              (fun acc r ->
-                if r.w_state = Logged then acc + Bytes.length r.w_data else acc)
-              0 q
-        in
-        let lost = per_file t.crash_lost_per_file path in
-        let torn = per_file t.crash_torn_per_file path in
-        let recovered = per_file t.recovered_per_file path in
+        let pending = Staging.bytes_in t.core path Staged in
+        let lost = Staging.bytes_in t.core path Lost in
+        let torn = Staging.bytes_in t.core path Torn in
+        let recovered = Staging.recovered_bytes t.core path in
         let verdict =
           if lost + torn + pending > 0 then Corrupted
           else if recovered > 0 then Recovered
@@ -890,60 +415,6 @@ let pp_check ppf r =
           f.c_torn_bytes)
     r.files
 
-(* Concurrency: one coarse lock over the whole data surface, exactly as
-   {!Hpcfs_bb.Tier} — the lock nests above the per-file Fdata locks (a WAL
-   operation may take one via the PFS, never the reverse).  Legacy runs
-   take a branch, not the lock.  Note that under the parallel scheduler
-   the *append order* of racing ranks is interleaving-dependent, so WAL
-   runs make their determinism claims on the legacy scheduler (like
-   faulted runs do). *)
-
-let locked t f =
-  if Hpcfs_util.Domctx.parallel () then begin
-    Mutex.lock t.mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-  end
-  else f ()
-
-let open_file t ~time ~rank ?create ?trunc path =
-  locked t (fun () -> open_file t ~time ~rank ?create ?trunc path)
-
-let close_file t ~time ~rank path =
-  locked t (fun () -> close_file t ~time ~rank path)
-
-let fsync t ~time ~rank path = locked t (fun () -> fsync t ~time ~rank path)
-
-let write t ~time ~rank path ~off data =
-  locked t (fun () -> write t ~time ~rank path ~off data)
-
-let read t ~time ~rank path ~off ~len =
-  locked t (fun () -> read t ~time ~rank path ~off ~len)
-
-let truncate t ~time path len = locked t (fun () -> truncate t ~time path len)
-let file_size t path = locked t (fun () -> file_size t path)
-let drain_all t = locked t (fun () -> drain_all t)
-let on_crash t ?victim ~time () = locked t (fun () -> on_crash t ?victim ~time ())
-
-let on_target_fail t ~time ~target =
-  locked t (fun () -> on_target_fail t ~time ~target)
-
-(* Backend ------------------------------------------------------------------ *)
-
-let backend t =
-  {
-    Backend.pfs = t.pfs;
-    open_file =
-      (fun ~time ~rank ~create ~trunc path ->
-        open_file t ~time ~rank ~create ~trunc path);
-    close_file = (fun ~time ~rank path -> close_file t ~time ~rank path);
-    read = (fun ~time ~rank path ~off ~len -> read t ~time ~rank path ~off ~len);
-    write =
-      (fun ~time ~rank path ~off data -> write t ~time ~rank path ~off data);
-    fsync = (fun ~time ~rank path -> fsync t ~time ~rank path);
-    truncate = (fun ~time path len -> truncate t ~time path len);
-    file_size = (fun path -> file_size t path);
-  }
-
 (* Statistics --------------------------------------------------------------- *)
 
 type stats = {
@@ -972,29 +443,30 @@ type stats = {
 }
 
 let stats t =
+  let c = Staging.counters t.core in
   {
-    writes = t.s_writes;
-    reads = t.s_reads;
-    bytes_written = t.s_bytes_written;
-    bytes_read = t.s_bytes_read;
-    appended_bytes = t.s_appended;
-    drained_bytes = t.s_drained;
-    flushes = t.s_flushes;
-    stalls = t.s_stalls;
-    stalled_bytes = t.s_stalled_bytes;
-    peak_occupancy = t.s_peak;
-    stale_reads = t.s_stale_reads;
-    stale_bytes = t.s_stale_bytes;
-    writethrough_writes = t.s_writethrough;
-    writethrough_bytes = t.s_writethrough_bytes;
-    log_faults = t.s_log_faults;
-    log_retries = t.s_log_retries;
-    log_backoff_ticks = t.s_backoff_ticks;
-    log_aborts = t.s_log_aborts;
-    drain_target_down = t.s_drain_target_down;
-    crash_lost_bytes = t.s_crash_lost_bytes;
-    crash_torn_bytes = t.s_crash_torn_bytes;
-    recovered_bytes = t.s_recovered_bytes;
+    writes = c.writes.n;
+    reads = c.reads.n;
+    bytes_written = c.bytes_written.n;
+    bytes_read = c.bytes_read.n;
+    appended_bytes = c.staged.n;
+    drained_bytes = c.drained.n;
+    flushes = t.flushes;
+    stalls = c.stalls.n;
+    stalled_bytes = c.stalled_bytes.n;
+    peak_occupancy = c.peak;
+    stale_reads = c.stale_reads;
+    stale_bytes = c.stale_bytes;
+    writethrough_writes = t.writethrough.n;
+    writethrough_bytes = t.writethrough_bytes.n;
+    log_faults = c.faults.n;
+    log_retries = c.retries.n;
+    log_backoff_ticks = c.backoff_ticks.n;
+    log_aborts = c.aborts.n;
+    drain_target_down = c.target_down.n;
+    crash_lost_bytes = c.crash_lost.n;
+    crash_torn_bytes = t.crash_torn.n;
+    recovered_bytes = c.recovered.n;
   }
 
 let pp_stats ppf s =

@@ -1,30 +1,19 @@
-(** Host-side write-ahead logging tier.
+(** Host-side write-ahead logging tier: a journal over the
+    {!Hpcfs_fs.Staging} core.  Every write appends a record (original
+    time, rank, offset, bytes) to its node's log and is acknowledged at
+    append time; a background replayer drains the log into the PFS at a
+    configured bandwidth with the original [(time, rank)], so the PFS's
+    engine still governs publication.  The log changes when bytes reach
+    the servers, never what a process may observe: strong replays a file
+    before any read observes it, commit by the time [fsync] returns,
+    session by the time [close] returns, eventual within the TTL.
 
-    Interposes on the {!Hpcfs_fs.Backend} facade like {!Hpcfs_bb.Tier}, but
-    with journal semantics instead of cache semantics: every write appends a
-    {!Hpcfs_fs.Journal}-shaped record (original timestamp, rank, offset,
-    bytes) to its compute node's sequential log and is acknowledged at
-    append time.  A background replayer drains the log into the PFS at a
-    configurable bandwidth, replaying each record with its original
-    [(time, rank)] so the PFS's own consistency engine still governs
-    publication — the log changes *when* bytes arrive at the servers, never
-    what any process is allowed to observe:
-
-    - strong: the whole file is replayed before any read observes it;
-    - commit: the file is replayed by the time an [fsync] returns;
-    - session: the file is replayed by the time a [close] returns;
-    - eventual: records are replayed within the engine's TTL.
-
-    Crash semantics are defined end to end.  A whole-job crash loses only
-    the victim node's un-flushed log tail, torn at a record boundary;
-    records already on the log platter survive and are re-replayed after
-    restart.  A storage-target or MDS failure during replay parks the
-    affected records host-side for journal-style re-replay.  A planned
-    log-device failure ([logfail:]) retries under the configured capped
-    backoff and then degrades that write to write-through; a log-capacity
-    plan ([logcap=]) forces drain-stalls and write-through once a node's
-    log is full.  {!check} is the post-crash fsck classifying what the log
-    recovered and what the crash semantics allowed to disappear. *)
+    A whole-job crash loses only the victim node's un-flushed log tail,
+    torn at a record boundary; flushed records are re-replayed after
+    restart, and a storage-target failure parks the affected records for
+    re-replay.  A log-device failure ([logfail:]) retries under the capped
+    backoff, then writes through; a full log ([logcap=]) stalls, then
+    writes through.  {!check} is the post-crash fsck. *)
 
 type t
 
@@ -64,7 +53,9 @@ val node_of_rank : t -> int -> int
 (** {1 Data operations}
 
     Same contracts as the corresponding {!Hpcfs_fs.Pfs} operations;
-    metadata failures ([Target.Mds_down]) propagate from the PFS. *)
+    metadata failures ([Target.Mds_down]) propagate from the PFS.
+    Truncation cuts logged and replayed records alike, so a crash never
+    replays truncated bytes back. *)
 
 val open_file :
   t -> time:int -> rank:int -> ?create:bool -> ?trunc:bool -> string -> int

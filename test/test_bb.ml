@@ -366,6 +366,39 @@ let test_drain_abort_keeps_extent () =
   Alcotest.(check int) "backlog empty" 0 (Tier.occupancy tier);
   Alcotest.(check int) "data on the PFS" 8 (Pfs.file_size pfs "/ck")
 
+(* One drain-order rule: a drain never moves past a blocked extent of the
+   same file, so a fault on a file's first extent keeps its later extents
+   staged until the first one drains. *)
+let test_drain_stops_at_blocked_extent () =
+  let pfs, tier =
+    make ~semantics:Consistency.Strong ~policy:Drain.On_laminate ()
+  in
+  ignore (Tier.open_file tier ~time:1 ~rank:0 ~create:true "/ck");
+  Tier.write tier ~time:2 ~rank:0 "/ck" ~off:0 (s "first");
+  Tier.write tier ~time:3 ~rank:0 "/ck" ~off:5 (s "second");
+  (* Fail exactly one extent's whole retry budget. *)
+  let fail_one_extent () =
+    let left = ref (Drain.default_retry.Drain.max_retries + 1) in
+    Tier.set_fault tier ~prng:(Prng.create 5)
+      (Some
+         (fun ~node:_ ~time:_ ->
+           decr left;
+           !left >= 0))
+  in
+  fail_one_extent ();
+  Alcotest.(check int) "drain_file stops at the blocked extent" 0
+    (Tier.drain_file tier "/ck");
+  Alcotest.(check int) "both extents still staged" 11 (Tier.occupancy tier);
+  fail_one_extent ();
+  Alcotest.(check int) "drain_all stops there too" 0 (Tier.drain_all tier ());
+  Alcotest.(check int) "still both staged" 11 (Tier.occupancy tier);
+  Alcotest.(check int) "nothing reached the PFS" 0 (Pfs.file_size pfs "/ck");
+  Tier.set_fault tier None;
+  Alcotest.(check int) "both drain once the first can" 11
+    (Tier.drain_all tier ());
+  let r = Pfs.read_back pfs ~time:100 "/ck" in
+  Alcotest.(check string) "in staging order" "firstsecond" (str r.Fdata.data)
+
 let test_crash_node_loses_undrained () =
   (* Strong backing semantics so the survivor's drained write is visible
      to the post-crash observer without a close. *)
@@ -415,6 +448,8 @@ let suite =
       test_drain_retry_then_success;
     Alcotest.test_case "drain abort keeps extent" `Quick
       test_drain_abort_keeps_extent;
+    Alcotest.test_case "drain stops at a blocked extent" `Quick
+      test_drain_stops_at_blocked_extent;
     Alcotest.test_case "node crash loses undrained bytes" `Quick
       test_crash_node_loses_undrained;
     Alcotest.test_case "16/17 apps correct through tier (session)" `Slow

@@ -18,6 +18,7 @@ let () =
       ("apps", Test_apps.suite);
       ("bb", Test_bb.suite);
       ("wal", Test_wal.suite);
+      ("staging", Test_staging.suite);
       ("fault", Test_fault.suite);
       ("wl", Test_wl.suite);
       ("obs", Test_obs.suite);

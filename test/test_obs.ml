@@ -103,6 +103,7 @@ let golden_chrome =
    {\"ph\":\"M\",\"pid\":3,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"sched\"}},\n\
    {\"ph\":\"M\",\"pid\":4,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"MPI\"}},\n\
    {\"ph\":\"M\",\"pid\":5,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"analysis\"}},\n\
+   {\"ph\":\"M\",\"pid\":6,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"WAL\"}},\n\
    {\"ph\":\"X\",\"pid\":2,\"tid\":0,\"ts\":3,\"dur\":6,\"name\":\"drain\",\"args\":{\"wall_us\":\"0.0\"}},\n\
    {\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":0,\"name\":\"stall\",\"args\":{\"k\":\"v\"}},\n\
    {\"ph\":\"C\",\"pid\":2,\"tid\":0,\"ts\":0,\"name\":\"bb.backlog\",\"args\":{\"value\":7}}\n\

@@ -255,6 +255,50 @@ let test_wal_deterministic () =
   in
   Alcotest.(check bool) "same seed, same faulted WAL run" true (go () = go ())
 
+(* Truncation cuts replayed records too: a crash that reverts the file's
+   unsettled records for re-replay must not bring truncated bytes back.
+   The same history on the bare PFS is the reference. *)
+let test_truncate_survives_crash () =
+  let run ~wal semantics =
+    let pfs = Pfs.create semantics in
+    let w = Wal.create pfs in
+    let b = if wal then Wal.backend w else Hpcfs_fs.Backend.of_pfs pfs in
+    ignore (b.open_file ~time:1 ~rank:0 ~create:true ~trunc:false "/f");
+    b.write ~time:2 ~rank:0 "/f" ~off:0 (Bytes.make 100 'x');
+    ignore (Wal.drain_all w);
+    b.truncate ~time:5 "/f" 10;
+    ignore (Wal.on_crash w ~time:6 ());
+    ignore (Pfs.crash pfs ~time:6 ());
+    ignore (Wal.drain_all w);
+    Pfs.file_size pfs "/f"
+  in
+  List.iter
+    (fun semantics ->
+      let name = Validation.sem_name semantics in
+      Alcotest.(check int) (name ^ ": direct run") 10 (run ~wal:false semantics);
+      Alcotest.(check int) (name ^ ": through the log") 10 (run ~wal:true semantics))
+    engines
+
+(* The log's stall events and its epilogue span land on its own telemetry
+   track, never on the burst buffer's. *)
+let test_wal_track () =
+  let sink = Hpcfs_obs.Obs.create () in
+  let body = Compile.body (Result.get_ok (Workload.of_string ck_spec)) in
+  ignore
+    (Runner.run ~obs:sink ~semantics:Consistency.Session ~nprocs:4
+       ~wal:slow_wal body);
+  let module Obs = Hpcfs_obs.Obs in
+  let tracks =
+    List.map (fun e -> (e.Obs.ev_name, e.Obs.ev_track)) (Obs.instants sink)
+    @ List.map (fun s -> (s.Obs.sp_name, s.Obs.sp_track)) (Obs.spans sink)
+  in
+  Alcotest.(check bool) "close stalls on the WAL track" true
+    (List.mem ("wal-stall", Obs.T_wal) tracks);
+  Alcotest.(check bool) "epilogue span on the WAL track" true
+    (List.mem ("epilogue-drain", Obs.T_wal) tracks);
+  Alcotest.(check bool) "nothing on the burst-buffer track" false
+    (List.exists (fun (_, track) -> track = Obs.T_bb) tracks)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_wal_differential;
@@ -269,6 +313,9 @@ let suite =
     Alcotest.test_case "logfail degrades to write-through" `Quick
       test_logfail_writethrough;
     Alcotest.test_case "logcap forces stalls" `Quick test_logcap_stalls;
+    Alcotest.test_case "crash replays no truncated bytes" `Quick
+      test_truncate_survives_crash;
+    Alcotest.test_case "telemetry on the WAL track" `Quick test_wal_track;
     Alcotest.test_case "faulted WAL runs are deterministic" `Quick
       test_wal_deterministic;
   ]
